@@ -141,6 +141,8 @@ PER_LAYER: dict[str, tuple[str, str]] = {
     "serving.swap_s": ("s", "lower"),
     "serving.p50_ms": ("ms", "lower"),
     "serving.p99_ms": ("ms", "lower"),
+    "serving.sustained_qps": ("1/s", "higher"),
+    "serving.saturated_qps": ("1/s", "higher"),
     "serving.queue_wait_ms": ("ms", "lower"),
     "serving.service_ms": ("ms", "lower"),
     "serving.gen_lag_ms": ("ms", "lower"),

@@ -218,3 +218,4 @@ def test_ladder_rule():
     steps = [_step(1000), _step(2000, p99=0.02), _step(4000)]
     assert max_sustained_rate(steps, limit) == 1000
     assert max_sustained_rate([_step(1000, p99=0.02)], limit) == 0.0
+
