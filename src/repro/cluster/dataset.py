@@ -21,6 +21,7 @@ __all__ = [
     "RuntimeDataset",
     "DATASET_SCHEMA_VERSION",
     "check_schema_version",
+    "save_archive",
     "DEGREES",
     "MAX_INTERFERERS",
     "pad_interferers",
@@ -33,8 +34,21 @@ MAX_INTERFERERS: int = 3
 #: On-disk ``.npz`` schema version. Bump whenever the archive layout
 #: changes shape or meaning; :meth:`RuntimeDataset.load` refuses archives
 #: written under any other version, so cached pipeline artifacts fail
-#: loudly instead of deserializing garbage.
-DATASET_SCHEMA_VERSION: int = 1
+#: loudly instead of deserializing garbage. Version 2 stores feature
+#: names as unicode arrays (version 1 pickled them as object arrays).
+DATASET_SCHEMA_VERSION: int = 2
+
+
+def save_archive(path: str | Path, schema_version: int, **arrays: np.ndarray) -> None:
+    """Write a versioned ``.npz`` payload; every persistence layer's writer.
+
+    Stamps ``schema_version`` (read back by :func:`check_schema_version`)
+    and stores the arrays uncompressed: the artifact store is a local
+    cache that only this program reads, so zlib would trade load and
+    persist time for disk space. Each member still carries its zip
+    CRC-32, which is checked when the member is read.
+    """
+    np.savez(path, schema_version=np.array(schema_version), **arrays)
 
 
 def check_schema_version(
@@ -214,17 +228,17 @@ class RuntimeDataset:
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
         """Save observations + features to an ``.npz`` archive."""
-        np.savez_compressed(
-            Path(path),
-            schema_version=np.array(DATASET_SCHEMA_VERSION),
+        save_archive(
+            path,
+            DATASET_SCHEMA_VERSION,
             w_idx=self.w_idx,
             p_idx=self.p_idx,
             interferers=self.interferers,
             runtime=self.runtime,
             workload_features=self.workload_features,
             platform_features=self.platform_features,
-            workload_feature_names=np.array(self.workload_feature_names, dtype=object),
-            platform_feature_names=np.array(self.platform_feature_names, dtype=object),
+            workload_feature_names=np.array(self.workload_feature_names, dtype=str),
+            platform_feature_names=np.array(self.platform_feature_names, dtype=str),
         )
 
     @classmethod
@@ -234,7 +248,7 @@ class RuntimeDataset:
         Raises ``ValueError`` when the archive's schema version is absent
         or differs from :data:`DATASET_SCHEMA_VERSION`.
         """
-        with np.load(Path(path), allow_pickle=True) as archive:
+        with np.load(Path(path), allow_pickle=False) as archive:
             check_schema_version(archive, DATASET_SCHEMA_VERSION, "dataset", path)
             return cls(
                 w_idx=archive["w_idx"],
@@ -243,6 +257,6 @@ class RuntimeDataset:
                 runtime=archive["runtime"],
                 workload_features=archive["workload_features"],
                 platform_features=archive["platform_features"],
-                workload_feature_names=list(archive["workload_feature_names"]),
-                platform_feature_names=list(archive["platform_feature_names"]),
+                workload_feature_names=archive["workload_feature_names"].tolist(),
+                platform_feature_names=archive["platform_feature_names"].tolist(),
             )

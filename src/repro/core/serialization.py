@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cluster.dataset import check_schema_version
+from ..cluster.dataset import check_schema_version, save_archive
 from .config import PitotConfig
 from .model import PitotModel
 from .scaling import LinearScalingBaseline
@@ -27,9 +27,7 @@ MODEL_SCHEMA_VERSION: int = 1
 
 def save_model(model: PitotModel, path: str | Path) -> None:
     """Serialize a (trained) Pitot model to ``path`` (.npz)."""
-    payload: dict[str, np.ndarray] = {
-        "schema_version": np.array(MODEL_SCHEMA_VERSION)
-    }
+    payload: dict[str, np.ndarray] = {}
     for name, value in model.state_dict().items():
         payload[f"param::{name}"] = value
 
@@ -55,7 +53,7 @@ def save_model(model: PitotModel, path: str | Path) -> None:
         payload["baseline::w_bar"] = model.baseline.w_bar
         payload["baseline::p_bar"] = model.baseline.p_bar
 
-    np.savez_compressed(Path(path), **payload)
+    save_archive(path, MODEL_SCHEMA_VERSION, **payload)
 
 
 def load_model(path: str | Path) -> PitotModel:

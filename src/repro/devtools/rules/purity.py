@@ -59,6 +59,7 @@ _WRITE_ATTRS = frozenset(
         "save",
         "savez",
         "savez_compressed",
+        "save_archive",
         "savetxt",
         "dump",
         "mkdir",

@@ -26,6 +26,7 @@ from ..cluster.dataset import (
     MAX_INTERFERERS,
     RuntimeDataset,
     check_schema_version,
+    save_archive,
 )
 from ..scenarios.spec import ScenarioSpec
 
@@ -118,9 +119,9 @@ class DriftTrace:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            Path(path),
-            schema_version=np.array(TRACE_SCHEMA_VERSION),
+        save_archive(
+            path,
+            TRACE_SCHEMA_VERSION,
             w_idx=self.w_idx,
             p_idx=self.p_idx,
             interferers=self.interferers,

@@ -57,6 +57,7 @@ paths are bit-identical.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -68,7 +69,7 @@ from ..cluster.collection import (
     make_cluster,
     synthetic_fleet_dataset,
 )
-from ..cluster.dataset import RuntimeDataset, check_schema_version
+from ..cluster.dataset import RuntimeDataset, check_schema_version, save_archive
 from ..cluster.splits import DataSplit, make_cold_workload_split, make_split
 from ..conformal.margins import MarginParams
 from ..conformal.predictor import ConformalRuntimePredictor, HeadChoice
@@ -596,9 +597,9 @@ def _load_collect(path: Path, spec: ScenarioSpec, out: dict) -> None:
 def _save_scale(path: Path, out: dict) -> None:
     split: DataSplit = out["split"]
     baseline: LinearScalingBaseline = out["baseline"]
-    np.savez_compressed(
+    save_archive(
         path / "split.npz",
-        schema_version=np.array(_SPLIT_SCHEMA_VERSION),
+        _SPLIT_SCHEMA_VERSION,
         train_rows=split.train_rows,
         calibration_rows=split.calibration_rows,
         test_rows=split.test_rows,
@@ -740,16 +741,12 @@ def _load_evaluate(path: Path, spec: ScenarioSpec, out: dict) -> None:
 
 def _save_snapshot(path: Path, out: dict) -> None:
     snapshot: EmbeddingSnapshot = out["snapshot"]
-    arrays = {
-        "schema_version": np.array(_SNAPSHOT_SCHEMA_VERSION),
-        "W": snapshot.W,
-        "P": snapshot.P,
-    }
+    arrays = {"W": snapshot.W, "P": snapshot.P}
     for name in ("VS", "VG", "baseline_w", "baseline_p"):
         value = getattr(snapshot, name)
         if value is not None:
             arrays[name] = value
-    np.savez_compressed(path / "snapshot.npz", **arrays)
+    save_archive(path / "snapshot.npz", _SNAPSHOT_SCHEMA_VERSION, **arrays)
 
 
 def _load_snapshot(path: Path, spec: ScenarioSpec, out: dict) -> None:
@@ -798,9 +795,9 @@ def _save_update(path: Path, out: dict) -> None:
         + "\n"
     )
     w, p, interferers, runtime = lifecycle.window
-    np.savez_compressed(
+    save_archive(
         path / "window.npz",
-        schema_version=np.array(_WINDOW_SCHEMA_VERSION),
+        _WINDOW_SCHEMA_VERSION,
         w_idx=w,
         p_idx=p,
         interferers=interferers,
@@ -1072,13 +1069,14 @@ def _try_load(
 
     A payload-schema bump (dataset/model/split/snapshot version) under
     an unchanged stage key means the committed artifact predates this
-    code. Treat it as a miss and recompute — old caches must never
-    abort a run.
+    code. A bit-flipped or truncated ``.npz`` fails its zip CRC-32 or
+    directory check. Treat both as a miss and recompute — old or
+    damaged caches must never abort a run.
     """
     try:
         _LOADERS[stage_name](store.read_dir(stage_name, key), spec, out)
         return True
-    except ValueError:
+    except (ValueError, zipfile.BadZipFile):
         return False
 
 

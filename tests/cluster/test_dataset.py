@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MAX_INTERFERERS, RuntimeDataset
+from repro.cluster.collection import synthetic_fleet_dataset
 
 
 def _toy_dataset() -> RuntimeDataset:
@@ -125,9 +126,28 @@ class TestPersistence:
         ds.platform_feature_names = ["x", "y"]
         path = tmp_path / "ds.npz"
         ds.save(path)
+        # Names are unicode arrays: the archive loads without pickle.
+        with np.load(path, allow_pickle=False) as archive:
+            assert archive["workload_feature_names"].dtype.kind == "U"
         loaded = RuntimeDataset.load(path)
         assert loaded.workload_feature_names == ["a", "b"]
         assert loaded.platform_feature_names == ["x", "y"]
+        assert all(type(n) is str for n in loaded.workload_feature_names)
+
+    def test_synthetic_fleet_empty_names_round_trip(self, tmp_path):
+        ds = synthetic_fleet_dataset(4, 3, n_observations=60, seed=0)
+        assert ds.workload_feature_names == []
+        assert ds.platform_feature_names == []
+        path = tmp_path / "fleet.npz"
+        ds.save(path)
+        loaded = RuntimeDataset.load(path)
+        assert loaded.workload_feature_names == []
+        assert loaded.platform_feature_names == []
+        for name in ("w_idx", "p_idx", "interferers", "runtime",
+                     "workload_features", "platform_features"):
+            original, restored = getattr(ds, name), getattr(loaded, name)
+            assert restored.dtype == original.dtype
+            assert restored.tobytes() == original.tobytes()
 
 
 class TestSchemaVersion:
@@ -156,6 +176,19 @@ class TestSchemaVersion:
         with pytest.raises(ValueError, match="schema version 999"):
             RuntimeDataset.load(path)
 
+    def test_version_1_object_name_archive_fails_loudly(self, tmp_path):
+        # Version 1 pickled the feature names as object arrays.
+        path = tmp_path / "ds.npz"
+        _toy_dataset().save(path)
+        with np.load(path) as archive:
+            payload = {name: archive[name] for name in archive.files}
+        payload["schema_version"] = np.array(1)
+        for name in ("workload_feature_names", "platform_feature_names"):
+            payload[name] = np.array(["f"], dtype=object)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="schema version 1 does not match"):
+            RuntimeDataset.load(path)
+
     def test_missing_version_fails_loudly(self, tmp_path):
         path = tmp_path / "ds.npz"
         _toy_dataset().save(path)
@@ -168,3 +201,4 @@ class TestSchemaVersion:
         np.savez_compressed(path, **payload)
         with pytest.raises(ValueError, match="no schema_version"):
             RuntimeDataset.load(path)
+

@@ -343,6 +343,30 @@ def test_rpr004_passes_sanctioned_savers_and_store(lint_tree):
     assert result.violations == []
 
 
+def test_rpr004_flags_save_archive_in_stage_body(lint_tree):
+    # save_archive is the one .npz payload writer; calling it from a
+    # compute body bypasses write_dir()/commit() like any other write.
+    source = textwrap.dedent(
+        """
+        from repro.cluster.dataset import save_archive
+
+
+        def _save_scale(path, out):
+            save_archive(path / "split.npz", 1, rows=out["rows"])
+
+
+        def scale_stage(spec, dataset):
+            rows = dataset.rows()
+            save_archive("split.npz", 1, rows=rows)
+            return rows
+        """
+    )
+    result = lint_tree({"pipeline/stages.py": source}, select=["RPR004"])
+    assert codes(result) == ["RPR004"]
+    assert "save_archive" in result.violations[0].message
+    assert result.violations[0].line == 11
+
+
 def test_rpr004_open_for_write_flagged_read_allowed(lint_tree):
     source = textwrap.dedent(
         """

@@ -1,5 +1,7 @@
 """Staged pipeline: cold/warm runs, cache keying, stage wiring."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,74 @@ class TestCacheKeying:
         entries = store.stage_entries()
         assert entries["collect"] >= 2  # smoke + reseeded smoke
         assert entries["train"] >= 2
+
+
+class TestPayloadEncoding:
+    """Uncompressed ``.npz`` payloads: CRC-guarded, legacy stores warm."""
+
+    @pytest.mark.parametrize("corrupt", ["bit_flip", "truncate"])
+    def test_corrupt_payload_reads_as_miss(self, smoke_spec, tmp_path,
+                                           corrupt):
+        store = ArtifactStore(tmp_path)
+        cold = run_pipeline(smoke_spec, store=store)
+        dataset_npz = (
+            store.read_dir("collect", cold.stage_keys["collect"])
+            / "dataset.npz"
+        )
+        metrics_json = (
+            store.read_dir("evaluate", cold.stage_keys["evaluate"])
+            / "metrics.json"
+        )
+        first_metrics = metrics_json.read_bytes()
+        raw = bytearray(dataset_npz.read_bytes())
+        if corrupt == "bit_flip":
+            # Stored uncompressed: the runtime column sits verbatim in
+            # the file, so this flips a bit of array data, not a header.
+            needle = cold.dataset.runtime.tobytes()
+            raw[raw.find(needle) + len(needle) // 2] ^= 0x01
+            dataset_npz.write_bytes(bytes(raw))
+            with np.load(dataset_npz) as archive:
+                with pytest.raises(zipfile.BadZipFile, match="Bad CRC-32"):
+                    archive["runtime"]
+        else:
+            dataset_npz.write_bytes(bytes(raw[: len(raw) // 2]))
+            with pytest.raises(zipfile.BadZipFile, match="not a zip file"):
+                np.load(dataset_npz)
+
+        result = run_pipeline(smoke_spec, store=store)
+        assert "collect" in result.executed
+        assert result.dataset.runtime.tobytes() == cold.dataset.runtime.tobytes()
+        assert result.metrics == cold.metrics
+        assert metrics_json.read_bytes() == first_metrics
+        # The recomputed artifact is healthy again: next run is fully warm.
+        assert run_pipeline(smoke_spec, store=store).executed == ()
+
+    def test_compressed_legacy_store_stays_warm(self, smoke_spec, tmp_path):
+        store = ArtifactStore(tmp_path)
+        cold = run_pipeline(smoke_spec, store=store)
+        payloads = sorted(tmp_path.rglob("*.npz"))
+        assert len(payloads) == 4  # dataset, split, model, snapshot
+        for path in payloads:
+            with zipfile.ZipFile(path) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {
+                    zipfile.ZIP_STORED
+                }
+            with np.load(path, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            np.savez_compressed(path, **arrays)
+            with zipfile.ZipFile(path) as zf:
+                assert {i.compress_type for i in zf.infolist()} == {
+                    zipfile.ZIP_DEFLATED
+                }
+
+        warm = run_pipeline(smoke_spec, store=store)
+        assert warm.executed == ()
+        assert warm.metrics == cold.metrics
+        cold_params = cold.model.state_dict()
+        warm_params = warm.model.state_dict()
+        assert warm_params.keys() == cold_params.keys()
+        for name, value in cold_params.items():
+            assert warm_params[name].tobytes() == value.tobytes(), name
 
 
 class TestStopAfter:
