@@ -384,8 +384,10 @@ def _cmd_pipeline_run(args) -> int:
                  "mape_isolation", "mape_interference"):
         print(f"{name}: {result.metrics[name]}")
     for eps, stats in result.metrics["epsilons"].items():
-        print(f"eps={eps}: coverage {stats['coverage']:.3f}, "
-              f"margin {stats['margin']:.2%}")
+        margin = (
+            "unbounded" if stats["margin"] is None else f"{stats['margin']:.2%}"
+        )
+        print(f"eps={eps}: coverage {stats['coverage']:.3f}, margin {margin}")
     print(f"{len(result.executed)} stage(s) run, "
           f"{len(result.cached)} cached, {elapsed:.1f}s")
     if args.assert_warm and result.executed:

@@ -116,26 +116,37 @@ def _ensure_entity_coverage(
     matrix completion (Sec 3.1). ``universe`` restricts the entity sets to
     those referenced by the given rows (the cold-workload split must not
     pull held-out entities back into training).
-    """
-    train_set = set(train_rows.tolist())
-    test_list = test_rows.tolist()
 
-    for entity_ids, column in (
-        (np.unique(dataset.w_idx if universe is None else dataset.w_idx[universe]),
-         dataset.w_idx),
-        (np.unique(dataset.p_idx if universe is None else dataset.p_idx[universe]),
-         dataset.p_idx),
-    ):
-        covered = set(np.unique(column[train_rows]).tolist()) if len(train_rows) else set()
-        missing = [e for e in entity_ids if e not in covered]
-        for entity in missing:
-            candidates = [r for r in test_list if column[r] == entity]
-            if not candidates:
-                continue
-            chosen = candidates[int(rng.integers(len(candidates)))]
-            test_list.remove(chosen)
-            train_set.add(chosen)
-    return np.array(sorted(train_set), dtype=int), np.array(test_list, dtype=int)
+    The workload pass runs first, then the platform pass. Each missing
+    entity, in ascending id order, moves one test row drawn uniformly
+    (one ``rng.integers`` call) from its remaining test rows in their
+    original order; an entity with no such row is skipped without a
+    draw. Both passes judge coverage by the *incoming* ``train_rows``,
+    so a platform counts as missing even if the workload pass already
+    moved one of its rows. Test rows are grouped once per pass (stable
+    sort plus ``searchsorted``), which keeps the cost linear in the rows
+    rather than in rows × missing entities.
+    """
+    train_rows = np.asarray(train_rows, dtype=int)
+    test = np.asarray(test_rows, dtype=int)
+    moved = []
+    for column in (dataset.w_idx, dataset.p_idx):
+        size = int(column.max()) + 1 if len(column) else 0
+        pool = column if universe is None else column[universe]
+        missing = np.flatnonzero(
+            (np.bincount(pool, minlength=size) > 0)
+            & (np.bincount(column[train_rows], minlength=size) == 0)
+        )
+        order = np.argsort(column[test], kind="stable")
+        grouped = column[test[order]]
+        lo = np.searchsorted(grouped, missing, side="left").tolist()
+        hi = np.searchsorted(grouped, missing, side="right").tolist()
+        picks = [order[a + rng.integers(b - a)] for a, b in zip(lo, hi) if b > a]
+        keep = np.ones(len(test), dtype=bool)
+        keep[picks] = False
+        moved.append(test[picks])
+        test = test[keep]
+    return np.sort(np.concatenate([train_rows, *moved])), test
 
 
 def make_split(

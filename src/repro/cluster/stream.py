@@ -107,8 +107,8 @@ class ObservationBuffer:
         n = len(runtime)
         if not (len(w_idx) == len(p_idx) == n):
             raise ValueError("observation arrays must share length")
-        if np.any(runtime <= 0):
-            raise ValueError("runtimes must be positive")
+        if not np.all(np.isfinite(runtime) & (runtime > 0)):
+            raise ValueError("runtimes must be positive and finite")
         if interferers is None:
             interferers = np.full((n, MAX_INTERFERERS), -1, dtype=np.intp)
         else:

@@ -71,8 +71,9 @@ def import_trace_csv(
 ) -> RuntimeDataset:
     """Load an external trace in the interchange format.
 
-    Validates index ranges and runtime positivity; raises ``ValueError``
-    with the offending line on malformed input.
+    Validates index ranges (interferers: ``-1`` padding or a valid id) and
+    that runtimes are positive and finite; raises ``ValueError`` with the
+    offending line on malformed input.
     """
     w_feat = _read_feature_csv(Path(workload_features_path))
     p_feat = _read_feature_csv(Path(platform_features_path))
@@ -96,10 +97,15 @@ def import_trace_csv(
                 raise ValueError(f"line {line_no}: workload {w} out of range")
             if not 0 <= p < len(p_feat):
                 raise ValueError(f"line {line_no}: platform {p} out of range")
-            if any(k >= len(w_feat) for k in ks):
+            # -1 is the only padding id; any other negative id would
+            # index from the end of the feature matrix.
+            if any(not -1 <= k < len(w_feat) for k in ks):
                 raise ValueError(f"line {line_no}: interferer out of range")
-            if r <= 0:
-                raise ValueError(f"line {line_no}: runtime must be positive")
+            if not (np.isfinite(r) and r > 0):
+                raise ValueError(
+                    f"line {line_no}: runtime must be positive and finite, "
+                    f"got {r!r}"
+                )
             w_idx.append(w)
             p_idx.append(p)
             interferers.append(ks)

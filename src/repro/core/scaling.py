@@ -129,20 +129,26 @@ class LinearScalingBaseline:
     ) -> None:
         if fallback is not None:
             fw, fp, fy = (np.asarray(a) for a in fallback)
-            for entity in np.flatnonzero(~w_seen):
-                rows = fw == entity
-                if rows.any():
-                    self.w_bar[entity] = float(
-                        np.mean(fy[rows] - self.p_bar[fp[rows]])
-                    )
-                    w_seen[entity] = True
-            for entity in np.flatnonzero(~p_seen):
-                rows = fp == entity
-                if rows.any():
-                    self.p_bar[entity] = float(
-                        np.mean(fy[rows] - self.w_bar[fw[rows]])
-                    )
-                    p_seen[entity] = True
+            # Whole workload pass first: the platform pass reads the
+            # filled-in w̄. Each unseen entity averages its fallback rows
+            # in their original order (stable grouping), so the mean has
+            # the same bits as over a boolean mask of those rows.
+            for seen, bar, column, other_bar, other_column in (
+                (w_seen, self.w_bar, fw, self.p_bar, fp),
+                (p_seen, self.p_bar, fp, self.w_bar, fw),
+            ):
+                unseen = np.flatnonzero(~seen)
+                order = np.argsort(column, kind="stable")
+                grouped = column[order]
+                lo = np.searchsorted(grouped, unseen, side="left").tolist()
+                hi = np.searchsorted(grouped, unseen, side="right").tolist()
+                for entity, a, b in zip(unseen.tolist(), lo, hi):
+                    if b > a:
+                        rows = order[a:b]
+                        bar[entity] = float(
+                            np.mean(fy[rows] - other_bar[other_column[rows]])
+                        )
+                        seen[entity] = True
         if (~w_seen).any():
             self.w_bar[~w_seen] = self.w_bar[w_seen].mean() if w_seen.any() else 0.0
         if (~p_seen).any():

@@ -390,12 +390,15 @@ def evaluate_stage(
     metrics["mape_interference"] = (
         float(mape(pred[~iso], test.runtime[~iso])) if (~iso).any() else None
     )
-    by_epsilon: dict[str, dict[str, float]] = {}
+    by_epsilon: dict[str, dict[str, float | None]] = {}
     for eps in spec.conformal.epsilons:
         bound = predictor.predict_bound_dataset(test, eps)
+        # ``None`` too for an unbounded margin: a pool with fewer than
+        # 1/ε calibration rows has an infinite bound by design.
+        margin = float(overprovision_margin(bound, test.runtime))
         by_epsilon[repr(float(eps))] = {
             "coverage": float(coverage(bound, test.runtime)),
-            "margin": float(overprovision_margin(bound, test.runtime)),
+            "margin": margin if np.isfinite(margin) else None,
         }
     metrics["epsilons"] = by_epsilon
     return metrics

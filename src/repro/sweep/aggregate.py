@@ -79,7 +79,8 @@ def cell_metrics(
 
     Keys from ``evaluate`` (when committed): ``mape_isolation`` /
     ``mape_interference`` plus ``coverage@ε`` / ``margin@ε`` per
-    calibrated ε. Keys from ``update`` (when committed):
+    calibrated ε (a ``null`` MAPE or margin, e.g. an unbounded margin,
+    contributes no key). Keys from ``update`` (when committed):
     ``drift_coverage`` / ``drift_coverage_static`` (event-weighted mean
     over the final drift phase) and ``drift_resets``. Raises ``KeyError``
     when neither stage has been committed (the sweep did not run, or
@@ -101,7 +102,8 @@ def cell_metrics(
         for eps, entry in payload.get("epsilons", {}).items():
             label = f"{float(eps):g}"
             flat[f"coverage@{label}"] = float(entry["coverage"])
-            flat[f"margin@{label}"] = float(entry["margin"])
+            if entry["margin"] is not None:
+                flat[f"margin@{label}"] = float(entry["margin"])
         found = True
     if "update" in keys and store.has("update", keys["update"]):
         payload = json.loads(

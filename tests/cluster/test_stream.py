@@ -50,6 +50,16 @@ class TestIngestion:
         with pytest.raises(ValueError, match="positive"):
             buf.ingest(np.array([0]), np.array([0]), None, np.array([0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_runtime(self, bad):
+        buf = ObservationBuffer(window=4)
+        with pytest.raises(ValueError, match="finite"):
+            buf.ingest(
+                np.array([0, 1]), np.array([0, 0]), None, np.array([1.0, bad])
+            )
+        # The whole batch is refused: nothing lands in a window.
+        assert buf.n_buffered() == 0 and buf.total_ingested == 0
+
     def test_rejects_length_mismatch(self, rng):
         buf = ObservationBuffer(window=4)
         with pytest.raises(ValueError, match="length"):

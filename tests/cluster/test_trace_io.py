@@ -88,6 +88,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             import_trace_csv(obs, wf, pf)
 
+    @pytest.mark.parametrize("runtime", ["nan", "inf", "-inf"])
+    def test_nonfinite_runtime(self, tmp_path, runtime):
+        wf, pf = self._base(tmp_path)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "workload,platform,interferer1,interferer2,interferer3,runtime_s\n"
+            "0,0,,,,1.0\n"
+            f"1,1,,,,{runtime}\n"
+        )
+        with pytest.raises(ValueError, match="line 3: runtime must be .*finite"):
+            import_trace_csv(obs, wf, pf)
+
+    @pytest.mark.parametrize("interferer", ["-3", "-2", "3"])
+    def test_out_of_range_interferer(self, tmp_path, interferer):
+        # -1 (or empty) is padding; -3 would otherwise index from the end.
+        wf, pf = self._base(tmp_path)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "workload,platform,interferer1,interferer2,interferer3,runtime_s\n"
+            "0,0,1,-1,,1.0\n"
+            f"0,1,{interferer},,,1.0\n"
+        )
+        with pytest.raises(ValueError, match="line 3: interferer out of range"):
+            import_trace_csv(obs, wf, pf)
+
+    def test_padding_interferers_accepted(self, tmp_path):
+        wf, pf = self._base(tmp_path)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "workload,platform,interferer1,interferer2,interferer3,runtime_s\n"
+            "0,0,2,-1,,1.0\n"
+        )
+        loaded = import_trace_csv(obs, wf, pf)
+        assert loaded.interferers.tolist() == [[2, -1, -1]]
+
     def test_noncontiguous_feature_ids(self, tmp_path):
         obs = tmp_path / "obs.csv"
         obs.write_text(

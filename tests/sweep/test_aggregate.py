@@ -25,6 +25,22 @@ class TestCellMetrics:
         assert "mape_interference" in metrics
         assert "coverage@0.1" in metrics and "margin@0.1" in metrics
 
+    def test_unbounded_margin_contributes_no_key(self, tmp_path):
+        """A null (unbounded) margin is skipped, like a null MAPE."""
+        plan = build_plan(SweepGrid(
+            scenarios=("cold-start-workloads",),
+            overrides=(
+                ("n_workloads", 16), ("n_devices", 4), ("n_runtimes", 3),
+                ("sets_per_degree", 8), ("steps", 40),
+            ),
+        ))
+        execute_plan(plan, tmp_path, workers=1)
+        metrics = cell_metrics(plan.cells[0], tmp_path)
+        assert "coverage@0.01" in metrics and "margin@0.01" not in metrics
+        assert "margin@0.1" in metrics
+        (group,) = aggregate_sweep(list(plan.cells), tmp_path)
+        assert "margin@0.01" not in group.metrics
+
     def test_missing_artifact_raises(self, swept, tmp_path):
         plan, _ = swept
         with pytest.raises(KeyError):

@@ -187,6 +187,25 @@ class TestPipelineCommand:
         assert "0 stage(s) run, 6 cached" in out
         assert "coverage" in out
 
+    def test_unbounded_margin_runs_cold_then_warm(self, tmp_path, capsys):
+        """50 calibration rows at eps=0.01 give an infinite bound by
+        design; the run must store a null margin, not abort on it."""
+        argv = [
+            "pipeline", "run", "--scenario", "cold-start-workloads",
+            "--store", str(tmp_path / "cache"),
+            "--workloads", "16", "--devices", "4", "--runtimes", "3",
+            "--sets-per-degree", "8", "--steps", "40",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "n_calibration: 50" in out
+        assert "eps=0.01: coverage 1.000, margin unbounded" in out
+        assert "6 stage(s) run, 0 cached" in out
+        assert main(argv + ["--assert-warm"]) == 0
+        out = capsys.readouterr().out
+        assert "margin unbounded" in out
+        assert "0 stage(s) run, 6 cached" in out
+
     def test_assert_warm_fails_on_cold_run(self, tmp_path, capsys):
         assert main([
             "pipeline", "run", "--scenario", "smoke",
