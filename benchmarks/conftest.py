@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,6 +41,11 @@ from repro.pipeline import collect_stage, make_scenario_split
 from repro.scenarios import get_scenario
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# Benches that time a production path against its equivalence oracle
+# import it from ``tests/reference`` (appended, so this directory's
+# ``conftest`` still wins the module name).
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 @dataclass(frozen=True)

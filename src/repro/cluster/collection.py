@@ -60,6 +60,130 @@ class CollectionConfig:
     set_crash_rate: float = 0.01
 
 
+#: Largest population ``Generator.choice(replace=False)`` samples with
+#: Floyd's algorithm for every sample size; above it numpy may switch to
+#: a tail shuffle that :func:`_choice_sets` does not reproduce.
+_FLOYD_MAX_POPULATION = 10000
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _read_words32(bit_generator, n: int) -> np.ndarray:
+    """The next ``>= n`` 32-bit words of the stream (whole 64-bit outputs,
+    low half first), as uint64."""
+    raw = bit_generator.random_raw((n + 1) // 2)
+    words = np.empty(2 * len(raw), dtype=np.uint64)
+    words[0::2] = raw & _LOW32
+    words[1::2] = raw >> np.uint64(32)
+    return words
+
+
+def _bounded_draws(bit_generator, bounds: np.ndarray) -> np.ndarray:
+    """numpy's ``random_bounded_uint64(0, b)`` for each ``b`` in turn.
+
+    Each draw is Lemire's multiply-shift on the generator's 32-bit
+    stream, which hands out the low then the high half of every 64-bit
+    output and keeps the unused half buffered in the state's
+    ``has_uint32``/``uinteger``. A bound of 0 returns 0 without reading
+    the stream; a rejected draw re-reads the next word until accepted,
+    shifting every later draw. On return the generator state is exactly
+    what the same draws made one by one would leave, including the stale
+    ``uinteger`` after the buffered half has been consumed.
+    """
+    state = bit_generator.state
+    live = np.flatnonzero(bounds)
+    excl = bounds[live].astype(np.uint64) + np.uint64(1)
+    threshold = np.uint64(1 << 32) % excl
+    n = len(live)
+    buffered = [state["uinteger"]] if state["has_uint32"] else []
+    stream = np.concatenate([
+        np.array(buffered, dtype=np.uint64),
+        _read_words32(bit_generator, n - len(buffered)),
+    ])
+    values = np.empty(n, dtype=np.uint64)
+    used = i = 0
+    while i < n:
+        m = stream[used : used + n - i] * excl[i:]
+        rejected = np.flatnonzero((m & _LOW32) < threshold[i:])
+        if not len(rejected):
+            values[i:] = m >> np.uint64(32)
+            used += n - i
+            break
+        r = int(rejected[0])
+        k = i + r
+        values[i:k] = m[:r] >> np.uint64(32)
+        used += r + 1
+        # Draw k was rejected: redraw its bound from the following words.
+        while True:
+            # Every draw still pending needs at least one more word.
+            if len(stream) < used + n - k:
+                stream = np.concatenate(
+                    [stream, _read_words32(bit_generator, used + n - k - len(stream))]
+                )
+            mk = stream[used] * excl[k]
+            used += 1
+            if (mk & _LOW32) >= threshold[k]:
+                break
+        values[k] = mk >> np.uint64(32)
+        i = k + 1
+    state = bit_generator.state
+    state["has_uint32"] = len(stream) - used
+    if len(stream):
+        state["uinteger"] = int(stream[-1])
+    bit_generator.state = state
+    out = np.zeros(len(bounds), dtype=np.intp)
+    out[live] = values
+    return out
+
+
+def _choice_sets(
+    rng: np.random.Generator, valid: np.ndarray, degree: int, n_sets: int
+) -> np.ndarray:
+    """``n_sets`` rows of ``rng.choice(valid, size=degree, replace=False)``.
+
+    Bit-for-bit the rows (and the generator state) that many scalar
+    ``choice`` calls produce, drawn in one pass: numpy samples without
+    replacement by Floyd's algorithm — one draw in ``[0, j]`` for each
+    ``j = pop-degree .. pop-1``, a duplicate taking ``j`` itself — then
+    Fisher–Yates shuffles the sample with one draw in ``[0, i]`` for each
+    ``i = degree-1 .. 1``. The bounds never depend on the values, so
+    every set's draws come from one :func:`_bounded_draws` call and the
+    slots are then resolved vectorized over sets.
+    """
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError(
+            f"co-runner draws replay PCG64's stream, not "
+            f"{type(rng.bit_generator).__name__}'s"
+        )
+    pop = len(valid)
+    if degree > pop:
+        raise ValueError(
+            "Cannot take a larger sample than population when replace is False"
+        )
+    if pop > _FLOYD_MAX_POPULATION:
+        raise ValueError(
+            f"population {pop} exceeds {_FLOYD_MAX_POPULATION}; "
+            "numpy's choice may not use Floyd's algorithm there"
+        )
+    bounds = np.concatenate(
+        [np.arange(pop - degree, pop), np.arange(degree - 1, 0, -1)]
+    )
+    draws = _bounded_draws(rng.bit_generator, np.tile(bounds, n_sets)).reshape(
+        n_sets, len(bounds)
+    )
+    idx = np.empty((n_sets, degree), dtype=np.intp)
+    for t in range(degree):
+        val = draws[:, t]
+        duplicate = (idx[:, :t] == val[:, None]).any(axis=1)
+        idx[:, t] = np.where(duplicate, pop - degree + t, val)
+    rows = np.arange(n_sets)
+    for col, i in zip(range(degree, len(bounds)), range(degree - 1, 0, -1)):
+        k = draws[:, col]
+        picked = idx[rows, k]
+        idx[rows, k] = idx[:, i].copy()
+        idx[:, i] = picked
+    return valid[idx]
+
+
 class ClusterCollector:
     """Runs collection campaigns against a ground-truth model."""
 
@@ -131,12 +255,7 @@ class ClusterCollector:
                 continue
             for degree in cfg.degrees:
                 # (sets, degree) matrix of distinct workloads per row.
-                sets = np.stack(
-                    [
-                        rng.choice(valid, size=degree, replace=False)
-                        for _ in range(cfg.sets_per_degree)
-                    ]
-                )
+                sets = _choice_sets(rng, valid, degree, cfg.sets_per_degree)
                 n_sets = sets.shape[0]
                 # Failure injection (App C.3): whole-set crashes and
                 # per-member alignment timeouts, both growing with degree.
@@ -146,15 +265,26 @@ class ClusterCollector:
                     < cfg.interference_timeout_base * (degree - 1) ** 2
                 )
                 # Each member observes the rest of its set as interference.
+                # Rows are slot-major (slot ``s`` owns rows s*n_sets up to
+                # (s+1)*n_sets), and truth is scored once for the block.
+                rest = [[c for c in range(degree) if c != s] for s in range(degree)]
+                targets_all = sets.T.ravel()
+                interf_all = np.full(
+                    (degree * n_sets, MAX_INTERFERERS), -1, dtype=int
+                )
+                interf_all[:, : degree - 1] = (
+                    sets[:, rest]
+                    .transpose(1, 0, 2)
+                    .reshape(degree * n_sets, degree - 1)
+                )
+                p_arr = np.full(n_sets, j)
+                truth_all = self.model.true_log10(
+                    targets_all, np.full(degree * n_sets, j), interf_all
+                )
                 for slot in range(degree):
-                    targets = sets[:, slot]
-                    others = np.delete(sets, slot, axis=1)
-                    pad = np.full(
-                        (n_sets, MAX_INTERFERERS - others.shape[1]), -1, dtype=int
-                    )
-                    interf = np.concatenate([others, pad], axis=1)
-                    p_arr = np.full(n_sets, j)
-                    true_log10 = self.model.true_log10(targets, p_arr, interf)
+                    rows = slice(slot * n_sets, (slot + 1) * n_sets)
+                    targets, interf = targets_all[rows], interf_all[rows]
+                    true_log10 = truth_all[rows]
                     # Timed-out members yield no observation (but their
                     # co-runners were still interfered with, and keep theirs).
                     alive = (
@@ -169,8 +299,8 @@ class ClusterCollector:
                         1,
                         cfg.max_repetitions,
                     )
-                    runtime = self.model.sample_runtime(
-                        targets[alive], p_arr[alive], interf[alive], rng,
+                    runtime = 10.0 ** self.model.measure_log10(
+                        true_log10[alive], p_arr[alive], interf[alive], rng,
                         averaging_reps=reps,
                     )
                     out_w.append(targets[alive])

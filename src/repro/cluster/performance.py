@@ -273,10 +273,26 @@ class GroundTruthPerformanceModel:
         repeated up to 50× within 30 s and averaged), shrinking noise by
         ``sqrt(reps)``.
         """
-        cfg = self.config
-        w_idx = np.asarray(w_idx)
-        p_idx = np.asarray(p_idx)
         truth = self.true_log10(w_idx, p_idx, interferers)
+        return self.measure_log10(truth, p_idx, interferers, rng, averaging_reps)
+
+    def measure_log10(
+        self,
+        truth: np.ndarray,
+        p_idx: np.ndarray,
+        interferers: np.ndarray | None,
+        rng: np.random.Generator,
+        averaging_reps: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The measurement step of :meth:`sample_log10` on known truth.
+
+        Draws normal noise, then outlier flags, then outlier magnitudes —
+        one call each, in that order — so callers that compute
+        :meth:`true_log10` once for many rows consume the stream exactly
+        as :meth:`sample_log10` would.
+        """
+        cfg = self.config
+        p_idx = np.asarray(p_idx)
         if interferers is None:
             n_int = np.zeros(len(truth))
         else:

@@ -67,8 +67,10 @@ class ObservationBuffer:
     reference:
         Optional dataset whose per-pool log-runtime statistics anchor
         :meth:`drift_stats` (typically the calibration split the serving
-        predictor was calibrated on). Without it, drift statistics are
-        reported as NaN — counts still work.
+        predictor was calibrated on), and whose workload/platform counts
+        bound the ids :meth:`ingest` accepts. Without it, drift
+        statistics are reported as NaN — counts still work — and ids are
+        only checked for sign.
     """
 
     def __init__(
@@ -79,6 +81,9 @@ class ObservationBuffer:
         self.window = window
         self._pools: dict[int, deque[_Record]] = {}
         self._reference: dict[int, tuple[float, float]] = {}
+        #: Exclusive (workload, platform) id bounds; unbounded until a
+        #: reference dataset is set.
+        self._id_limits = (np.iinfo(np.intp).max, np.iinfo(np.intp).max)
         self._seq = 0
         self.total_ingested = 0
         if reference is not None:
@@ -99,7 +104,10 @@ class ObservationBuffer:
         ``interferers`` uses the dataset's ``(n, MAX_INTERFERERS)``
         ``-1``-padded convention (``None`` means all-isolation). Each row
         lands in its interference-degree pool's window, evicting the
-        oldest record once the window is full.
+        oldest record once the window is full. A batch with a negative
+        id (other than the ``-1`` padding) or, once a reference is set,
+        an id beyond its population is refused whole with a
+        ``ValueError`` naming the first offending row.
         """
         w_idx = np.asarray(w_idx, dtype=np.intp)
         p_idx = np.asarray(p_idx, dtype=np.intp)
@@ -118,6 +126,7 @@ class ObservationBuffer:
                     f"interferers must be (n, {MAX_INTERFERERS}), "
                     f"got {interferers.shape}"
                 )
+        self._check_ids(w_idx, p_idx, interferers)
         pools = 1 + (interferers >= 0).sum(axis=1)
         for i in range(n):
             co = tuple(int(x) for x in interferers[i] if x >= 0)
@@ -134,6 +143,26 @@ class ObservationBuffer:
             self._seq += 1
         self.total_ingested += n
         return n
+
+    def _check_ids(
+        self, w_idx: np.ndarray, p_idx: np.ndarray, interferers: np.ndarray
+    ) -> None:
+        """Raise on the first row whose ids fall outside the population."""
+        n_w, n_p = self._id_limits
+        checks = (
+            ("workload", w_idx, (w_idx < 0) | (w_idx >= n_w)),
+            ("platform", p_idx, (p_idx < 0) | (p_idx >= n_p)),
+            (
+                "interferers",
+                interferers,
+                ((interferers < -1) | (interferers >= n_w)).any(axis=1),
+            ),
+        )
+        rows = np.logical_or.reduce([mask for _, _, mask in checks])
+        if rows.any():
+            row = int(np.argmax(rows))
+            field, ids = next((f, ids) for f, ids, mask in checks if mask[row])
+            raise ValueError(f"row {row}: {field} {ids[row].tolist()} out of range")
 
     def ingest_dataset(self, ds: RuntimeDataset) -> int:
         """Ingest every row of a dataset (trace-replay convenience)."""
@@ -160,7 +189,9 @@ class ObservationBuffer:
     # Drift statistics
     # ------------------------------------------------------------------
     def set_reference(self, dataset: RuntimeDataset) -> None:
-        """Anchor drift statistics to a dataset's per-pool distribution."""
+        """Anchor drift statistics to a dataset's per-pool distribution,
+        and :meth:`ingest`'s id bounds to its population."""
+        self._id_limits = (dataset.n_workloads, dataset.n_platforms)
         log_rt = dataset.log_runtime
         degree = dataset.degree
         self._reference = {}

@@ -78,6 +78,67 @@ class TestIngestion:
             ObservationBuffer(window=0)
 
 
+class TestIdRanges:
+    """Ids are checked at the boundary: negative ids always (``-1`` is
+    the only interferer padding), ids beyond the population once a
+    reference dataset fixes it. A bad batch is refused whole."""
+
+    @staticmethod
+    def _batch(w=(0, 1, 2), p=(0, 1, 2), co=None):
+        interferers = np.full((3, MAX_INTERFERERS), -1, dtype=np.intp)
+        if co is not None:
+            interferers[:] = co
+        return np.array(w), np.array(p), interferers, np.ones(3)
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            (dict(w=(0, -1, 2)), r"row 1: workload -1 out of range"),
+            (dict(p=(0, 1, -3)), r"row 2: platform -3 out of range"),
+            (
+                dict(co=[[1, -1, -1], [2, -1, -1], [0, -2, -1]]),
+                r"row 2: interferers \[0, -2, -1\] out of range",
+            ),
+            # The first offending row is named, whichever field it is.
+            (dict(w=(0, 0, -1), p=(0, -1, 0)), r"row 1: platform"),
+        ],
+    )
+    def test_rejects_negative_ids(self, batch, message):
+        buf = ObservationBuffer(window=10)
+        with pytest.raises(ValueError, match=message):
+            buf.ingest(*self._batch(**batch))
+        assert buf.n_buffered() == 0 and buf.total_ingested == 0
+
+    @pytest.mark.parametrize(
+        "batch, message",
+        [
+            (dict(w=(0, 16, 2)), r"row 1: workload 16 out of range"),
+            (dict(p=(8, 1, 2)), r"row 0: platform 8 out of range"),
+            (
+                dict(co=[[1, 2, 16], [2, -1, -1], [0, -1, -1]]),
+                r"row 0: interferers \[1, 2, 16\] out of range",
+            ),
+        ],
+    )
+    def test_rejects_ids_beyond_reference(self, batch, message):
+        reference = synthetic_fleet_dataset(16, 8, 200, seed=0)
+        buf = ObservationBuffer(window=10, reference=reference)
+        with pytest.raises(ValueError, match=message):
+            buf.ingest(*self._batch(**batch))
+        assert buf.n_buffered() == 0
+
+    def test_large_ids_pass_without_reference(self):
+        buf = ObservationBuffer(window=10)
+        assert buf.ingest(*self._batch(w=(0, 10**6, 2), co=[[10**6, -1, -1]] * 3)) == 3
+
+    def test_boundary_ids_accepted(self):
+        reference = synthetic_fleet_dataset(16, 8, 200, seed=0)
+        buf = ObservationBuffer(window=10, reference=reference)
+        assert buf.ingest(*self._batch(w=(0, 15, 15), p=(7, 0, 7),
+                                       co=[[15, 0, -1]] * 3)) == 3
+        assert buf.n_buffered(3) == 3
+
+
 class TestDriftStats:
     def test_shift_tracks_multiplicative_drift(self, rng):
         reference = synthetic_fleet_dataset(16, 8, 2000, seed=0)
