@@ -4,9 +4,9 @@ The online recalibration loop (lifecycle ticks, the scheduler's live
 world calibration) pays two costs per batch of observed runtimes: the
 *ingest* of new nonconformity scores into per-pool sliding windows, and
 the *recalibration* that turns those windows into per-pool offsets. The
-pre-PR reference path appends scores one at a time into ``deque``s and
-re-sorts the full window on every offset query — O(window log window)
-per pool per recalibration. The batched engine keeps each pool's window
+scalar reference (``tests/reference/online.py``) appends scores one at
+a time into ``deque``s and re-sorts the full window on every offset
+query — O(window log window) per pool per recalibration. The batched engine keeps each pool's window
 sorted (``np.searchsorted`` + ``np.insert`` merges, FIFO eviction by
 arrival tag), so a recalibration is an order-statistic *gather*.
 
@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from reference.online import ScalarOnlineConformalizer
 from repro.conformal import OnlineConformalizer
 from repro.eval import format_table
 
@@ -77,12 +78,8 @@ def test_conformal_throughput(benchmark):
 
     rows, metrics = [], {}
     for mode in ("naive", "weighted"):
-        batched = OnlineConformalizer(
-            model, window=WINDOW, margin=mode, batched=True
-        )
-        scalar = OnlineConformalizer(
-            model, window=WINDOW, margin=mode, batched=False
-        )
+        batched = OnlineConformalizer(model, window=WINDOW, margin=mode)
+        scalar = ScalarOnlineConformalizer(model, window=WINDOW, margin=mode)
         if mode == "naive":
             t_batched, off_batched = benchmark.pedantic(
                 lambda: _drive(batched, batches), rounds=1, iterations=1

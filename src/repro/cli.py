@@ -50,6 +50,7 @@ from .pipeline import (
     make_scenario_split,
     pipeline_stage_keys,
     run_pipeline,
+    scale_stage,
     train_stage,
 )
 from .devtools.lint import add_lint_arguments
@@ -725,8 +726,8 @@ def _cmd_train(args) -> int:
         embedding_dim=args.embedding_dim,
         **quantile_knob,
     ).with_seeds(split=args.seed, train=args.seed)
-    split = make_scenario_split(spec, dataset)
-    result = train_stage(spec, split)
+    split, baseline = scale_stage(spec, dataset)
+    result = train_stage(spec, split, baseline)
     save_model(result.model, args.output)
     print(f"trained {args.steps} steps; best val loss "
           f"{result.best_val_loss:.5f} @ step {result.best_step}")

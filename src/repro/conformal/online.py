@@ -8,17 +8,14 @@ demand. Under a slowly-drifting environment this restores approximate
 validity without touching model weights — and the window makes the
 predictor forget stale regimes.
 
-Two ingestion paths share one contract:
-
-* **batched** (default) — each pool keeps its window as parallel NumPy
-  arrays *sorted by score* with a monotone arrival tag per observation.
-  A batch ingests via one stable group-by-pool pass plus
-  ``np.searchsorted``/``np.insert`` merges, FIFO eviction drops the
-  smallest arrival tags, and a recalibration is an O(batch + pools)
-  order-statistic gather instead of an O(window log window) re-sort.
-* **scalar** (``batched=False``) — the original per-score ``deque``
-  loop, kept as the equivalence/throughput reference. Both paths retain
-  exactly the most recent ``window`` scores per pool in arrival order.
+Each pool keeps its window as parallel NumPy arrays *sorted by score*
+with a monotone arrival tag per observation. A batch ingests via one
+stable group-by-pool pass plus ``np.searchsorted``/``np.insert`` merges,
+FIFO eviction drops the smallest arrival tags, and a recalibration is an
+O(batch + pools) order-statistic gather instead of an O(window log
+window) re-sort. The window holds exactly the most recent ``window``
+scores per pool. The original per-score ``deque`` loop is the
+equivalence oracle in ``tests/reference/online.py``.
 
 Margins come from :mod:`repro.conformal.margins`, so the online layer
 supports all four modes (``naive``/``weighted``/``bootstrap``/``mnar``);
@@ -29,7 +26,6 @@ goes quiet decays even while others stream.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -119,11 +115,6 @@ class OnlineConformalizer:
     margin:
         Margin mode name or :class:`~repro.conformal.margins.MarginParams`
         (``naive``/``weighted``/``bootstrap``/``mnar``).
-    batched:
-        Keep per-pool sorted structures updated incrementally (default).
-        ``False`` selects the original scalar ``deque`` path — slower,
-        retained as the bitwise reference for equivalence tests and the
-        throughput benchmark.
     """
 
     def __init__(
@@ -132,7 +123,6 @@ class OnlineConformalizer:
         head: int = 0,
         window: int = 2000,
         margin: MarginParams | str = "naive",
-        batched: bool = True,
     ) -> None:
         if window < 2:
             raise ValueError("window must be at least 2")
@@ -140,17 +130,12 @@ class OnlineConformalizer:
         self.head = head
         self.window = window
         self.margin = _coerce_params(margin)
-        self.batched = batched
         self._seq = 0
         self._track_cells = self.margin.mode == "mnar"
-        # Batched path: per-pool sorted structures, plus a cache of the
-        # merged-global view (invalidated on every ingest).
+        # Per-pool sorted structures, plus a cache of the merged-global
+        # view (invalidated on every ingest).
         self._windows: dict[int, _PoolWindow] = {}
         self._merged: tuple[np.ndarray, np.ndarray] | None = None
-        # Scalar path: the pre-batching deques (reference implementation).
-        self._scores: dict[int, deque[float]] = {}
-        self._arrivals: dict[int, deque[int]] = {}
-        self._cells: dict[int, deque[tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -173,9 +158,6 @@ class OnlineConformalizer:
         pools = self._pool_of(interferers, len(scores))
         arrivals = self._seq + np.arange(len(scores), dtype=np.int64)
         self._seq += len(scores)
-        if not self.batched:
-            self._observe_scalar(w_idx, p_idx, pools, scores, arrivals)
-            return
         self._merged = None
         w_idx = np.asarray(w_idx) if self._track_cells else None
         p_idx = np.asarray(p_idx) if self._track_cells else None
@@ -198,38 +180,11 @@ class OnlineConformalizer:
                 p_idx[rows] if p_idx is not None else None,
             )
 
-    def _observe_scalar(
-        self,
-        w_idx: np.ndarray,
-        p_idx: np.ndarray,
-        pools: np.ndarray,
-        scores: np.ndarray,
-        arrivals: np.ndarray,
-    ) -> None:
-        """The original per-score ingest loop (reference path)."""
-        for i, (pool, score) in enumerate(
-            zip(pools.tolist(), scores.tolist())
-        ):
-            self._scores.setdefault(
-                pool, deque(maxlen=self.window)
-            ).append(score)
-            self._arrivals.setdefault(
-                pool, deque(maxlen=self.window)
-            ).append(int(arrivals[i]))
-            if self._track_cells:
-                self._cells.setdefault(
-                    pool, deque(maxlen=self.window)
-                ).append((int(w_idx[i]), int(p_idx[i])))
-
     # ------------------------------------------------------------------
     def n_observed(self, pool: int | None = None) -> int:
-        if self.batched:
-            if pool is not None:
-                return len(self._windows.get(pool, ()))
-            return sum(len(pw) for pw in self._windows.values())
         if pool is not None:
-            return len(self._scores.get(pool, ()))
-        return sum(len(q) for q in self._scores.values())
+            return len(self._windows.get(pool, ()))
+        return sum(len(pw) for pw in self._windows.values())
 
     def pool_scores(self, pool: int) -> np.ndarray:
         """The pool's retained score window, oldest first.
@@ -239,8 +194,6 @@ class OnlineConformalizer:
         (and the window-trimming property tests) need not reach into
         internals.
         """
-        if not self.batched:
-            return np.asarray(self._scores.get(pool, ()), dtype=np.float64)
         pw = self._windows.get(pool)
         if pw is None:
             return np.empty(0, dtype=np.float64)
@@ -251,69 +204,50 @@ class OnlineConformalizer:
         self, pool: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(scores sorted ascending, matching arrival tags) for a pool."""
-        if self.batched:
-            pw = self._windows.get(pool)
-            if pw is None:
-                return np.empty(0), np.empty(0, dtype=np.int64)
-            return pw.scores, pw.arrivals
-        scores = np.asarray(self._scores.get(pool, ()), dtype=np.float64)
-        arrivals = np.asarray(self._arrivals.get(pool, ()), dtype=np.int64)
-        order = np.argsort(scores, kind="stable")
-        return scores[order], arrivals[order]
+        pw = self._windows.get(pool)
+        if pw is None:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        return pw.scores, pw.arrivals
 
     def _merged_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         """All pools' windows merged, sorted by score.
 
-        Batched mode merges the already-sorted pool windows pairwise via
+        Merges the already-sorted pool windows pairwise via
         ``np.searchsorted``/``np.insert`` — O(total) instead of the
         O(total log total) re-sort — and caches the result until the
-        next ingest. Tie *order* can differ from the scalar path's
-        stable concatenated sort, but every cut returns a score drawn
-        from inside a tie run, so the produced offsets are identical.
+        next ingest. Tie *order* can differ from a stable concatenated
+        sort, but every cut returns a score drawn from inside a tie run,
+        so the produced offsets are identical.
         """
-        if self.batched and self._merged is not None:
+        if self._merged is not None:
             return self._merged
         pools = self._tracked_pools()
         if not pools:
             return np.empty(0), np.empty(0, dtype=np.int64)
         per_pool = [self._pool_window_sorted(pool) for pool in pools]
-        if self.batched:
-            scores, arrivals = per_pool[0]
-            for more_scores, more_arrivals in per_pool[1:]:
-                positions = np.searchsorted(scores, more_scores, side="left")
-                scores = np.insert(scores, positions, more_scores)
-                arrivals = np.insert(arrivals, positions, more_arrivals)
-            self._merged = (scores, arrivals)
-            return self._merged
-        scores = np.concatenate([s for s, _ in per_pool])
-        arrivals = np.concatenate([a for _, a in per_pool])
-        order = np.argsort(scores, kind="stable")
-        return scores[order], arrivals[order]
+        scores, arrivals = per_pool[0]
+        for more_scores, more_arrivals in per_pool[1:]:
+            positions = np.searchsorted(scores, more_scores, side="left")
+            scores = np.insert(scores, positions, more_scores)
+            arrivals = np.insert(arrivals, positions, more_arrivals)
+        self._merged = (scores, arrivals)
+        return self._merged
 
     def _tracked_pools(self) -> list[int]:
-        source = self._windows if self.batched else self._scores
-        return sorted(source)
+        return sorted(self._windows)
 
     def _window_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(w_idx, p_idx) across every retained observation (mnar)."""
-        if self.batched:
-            ws = [
-                pw.w_idx
-                for pw in self._windows.values()
-                if pw.w_idx is not None and len(pw.w_idx)
-            ]
-            ps = [
-                pw.p_idx
-                for pw in self._windows.values()
-                if pw.p_idx is not None and len(pw.p_idx)
-            ]
-        else:
-            ws, ps = [], []
-            for cells in self._cells.values():
-                if cells:
-                    pairs = np.asarray(cells, dtype=np.intp)
-                    ws.append(pairs[:, 0])
-                    ps.append(pairs[:, 1])
+        ws = [
+            pw.w_idx
+            for pw in self._windows.values()
+            if pw.w_idx is not None and len(pw.w_idx)
+        ]
+        ps = [
+            pw.p_idx
+            for pw in self._windows.values()
+            if pw.p_idx is not None and len(pw.p_idx)
+        ]
         if not ws:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         return np.concatenate(ws), np.concatenate(ps)
@@ -360,22 +294,11 @@ class OnlineConformalizer:
         col_counts = np.bincount(p_all).astype(np.float64)
         n = float(len(w_all))
         for pool in self._tracked_pools():
-            if self.batched:
-                pw = self._windows[pool]
-                w_idx, p_idx = pw.w_idx, pw.p_idx
-                if w_idx is None or not len(w_idx):
-                    weights[pool] = np.empty(0)
-                    continue
-            else:
-                pairs = np.asarray(self._cells.get(pool, ()), dtype=np.intp)
-                if not len(pairs):
-                    weights[pool] = np.empty(0)
-                    continue
-                order = np.argsort(
-                    np.asarray(self._scores[pool], dtype=np.float64),
-                    kind="stable",
-                )
-                w_idx, p_idx = pairs[order, 0], pairs[order, 1]
+            pw = self._windows[pool]
+            w_idx, p_idx = pw.w_idx, pw.p_idx
+            if w_idx is None or not len(w_idx):
+                weights[pool] = np.empty(0)
+                continue
             propensity = row_counts[w_idx] * col_counts[p_idx] / n
             w = 1.0 / propensity
             w /= w.mean()
@@ -397,8 +320,8 @@ class OnlineConformalizer:
     def offsets_by_pool(self, epsilon: float) -> dict[int, float]:
         """Offsets for every tracked pool in one pass (plus global ``-1``).
 
-        This is the recalibration entry point: with the batched
-        structures it is an O(pools) gather for ``naive`` margins (no
+        This is the recalibration entry point: with the sorted windows
+        it is an O(pools) gather for ``naive`` margins (no
         re-sorting), and never worse than one pass over the retained
         window for the weighted modes. Pools thinner than ``⌈1/ε⌉`` are
         omitted; callers fall back to the merged global key ``-1``.
@@ -420,7 +343,7 @@ class OnlineConformalizer:
         return out
 
     def _merged_cut(self, epsilon: float) -> float:
-        if self.batched and self.margin.mode == "naive":
+        if self.margin.mode == "naive":
             # The naive cut is one order statistic of the union, so the
             # merged view never needs materializing: concatenate the
             # sorted pool windows and select — O(total), no log factor.

@@ -338,8 +338,14 @@ class ConformalRuntimePredictor:
         p_idx: np.ndarray,
         interferers: np.ndarray | None,
         epsilon: float,
+        log_pred: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Runtime budgets (seconds) with ``Pr(C* > bound) ≤ ε``."""
+        """Runtime budgets (seconds) with ``Pr(C* > bound) ≤ ε``.
+
+        ``log_pred`` optionally supplies the model's ``predict_log`` on
+        these rows, so bounding one query set at several ε runs one
+        forward.
+        """
         if (epsilon, -1) not in self.choices:
             # Guard before the model forward: the error path must not pay
             # a full prediction pass.
@@ -347,7 +353,9 @@ class ConformalRuntimePredictor:
                 f"predictor not calibrated for epsilon={epsilon}; "
                 f"calibrated: {self._calibrated_epsilons}"
             )
-        pred = self.model.predict_log(w_idx, p_idx, interferers)
+        pred = log_pred
+        if pred is None:
+            pred = self.model.predict_log(w_idx, p_idx, interferers)
         pools = self.pools_for(interferers, len(pred))
         if self._table is None:
             self._table = HeadOffsetTable(self._choices)
@@ -359,7 +367,13 @@ class ConformalRuntimePredictor:
         return calibration_pools(interferers, n, self.use_pools)
 
     def predict_bound_dataset(
-        self, ds: RuntimeDataset, epsilon: float
+        self,
+        ds: RuntimeDataset,
+        epsilon: float,
+        log_pred: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Bounds for every row of a dataset."""
-        return self.predict_bound(ds.w_idx, ds.p_idx, ds.interferers, epsilon)
+        """Bounds for every row of a dataset (``log_pred``: see
+        :meth:`predict_bound`)."""
+        return self.predict_bound(
+            ds.w_idx, ds.p_idx, ds.interferers, epsilon, log_pred
+        )

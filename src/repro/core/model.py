@@ -18,7 +18,7 @@ Architecture (Fig 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -197,14 +197,15 @@ class EmbeddingSnapshot:
     Freezes the tower outputs (and the fitted scaling baseline) into plain
     NumPy arrays so serving-time predictions run a single vectorized
     gather-and-GEMM forward — no autograd tape, no tower recomputation.
-    The forward is numerically identical to
-    :meth:`PitotModel.predict_log` (same operations, same order).
+    This is the model's only inference forward:
+    :meth:`PitotModel.predict_log` reads it through
+    :meth:`PitotModel.snapshot`.
 
     Staleness rule: a snapshot captures the model's parameter
-    ``generation`` at creation time; any further ``fit`` (or
-    ``load_state_dict``) bumps the generation, making the snapshot stale.
-    Callers holding a snapshot across retraining must re-snapshot —
-    :meth:`is_stale` makes the check cheap.
+    ``generation`` at creation time; every parameter write (each training
+    step, ``load_state_dict``, ``cast``) bumps the generation, making the
+    snapshot stale. Callers holding a snapshot across retraining must
+    re-snapshot — :meth:`is_stale` makes the check cheap.
     """
 
     config: PitotConfig
@@ -218,7 +219,11 @@ class EmbeddingSnapshot:
 
     @classmethod
     def from_model(cls, model: "PitotModel") -> "EmbeddingSnapshot":
-        """Run both towers once (tape-free) and freeze the outputs."""
+        """Run both towers once (tape-free) and freeze the outputs.
+
+        Uncached; :meth:`PitotModel.snapshot` is the memoized entry point
+        every inference consumer goes through.
+        """
         with no_grad():
             W, P, VS, VG = model.compute_embeddings()
         baseline = model.baseline
@@ -292,16 +297,23 @@ class EmbeddingSnapshot:
     ) -> np.ndarray:
         """Full natural-log runtime predictions, shape ``(n, H)``.
 
-        Drop-in replacement for :meth:`PitotModel.predict_log`; the larger
-        default chunk reflects the cheaper per-row cost.
+        ``chunk`` bounds the rows per forward and with it the peak size of
+        the ``(rows, K*H, r)`` temporaries. Raises ``ValueError`` when
+        ``p_idx`` or ``interferers`` differ in length from ``w_idx``.
         """
         w_idx = np.asarray(w_idx, dtype=np.intp)
         p_idx = np.asarray(p_idx, dtype=np.intp)
+        n = len(w_idx)
+        if len(p_idx) != n:
+            raise ValueError(f"p_idx has {len(p_idx)} rows for {n} queries")
         if interferers is not None:
             # Normalize before chunk slicing: a 1-D row means one query,
             # and slicing it per chunk would truncate it to one column.
             interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-        n = len(w_idx)
+            if len(interferers) != n:
+                raise ValueError(
+                    f"interferers has {len(interferers)} rows for {n} queries"
+                )
         out = np.empty((n, self.config.n_heads))
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -391,9 +403,12 @@ class PitotModel(Module):
         #: zeros for the "log"/"proportional" objectives).
         self.baseline: LinearScalingBaseline | None = None
 
-        #: Parameter generation, bumped by fit/load_state_dict; snapshots
-        #: record it so stale serving state is detectable.
+        #: Parameter generation, bumped by every parameter write (each
+        #: training step, load_state_dict, cast); snapshots record it so
+        #: stale serving state is detectable.
         self._generation = 0
+        #: ``(baseline, snapshot)`` memo of :meth:`snapshot`.
+        self._snapshot_memo = None
 
         self._activation = {
             "leaky_relu": lambda t: leaky_relu(t, config.leaky_slope),
@@ -612,8 +627,33 @@ class PitotModel(Module):
         self._generation += 1
 
     def snapshot(self) -> EmbeddingSnapshot:
-        """Freeze current embeddings into an inference-only snapshot."""
-        return EmbeddingSnapshot.from_model(self)
+        """The inference-only snapshot of the current parameters.
+
+        Memoized on the parameter ``generation`` and the attached
+        ``baseline`` object: between two parameter writes every call
+        returns the same snapshot, so the towers run once per parameter
+        state. Its arrays are read-only. Replace the baseline to change
+        it; an in-place edit of ``w_bar``/``p_bar`` is not seen.
+        """
+        memo = self._snapshot_memo
+        if (
+            memo is not None
+            and memo[1].generation == self._generation
+            and memo[0] is self.baseline
+        ):
+            return memo[1]
+        return self._install_snapshot(EmbeddingSnapshot.from_model(self))
+
+    def _install_snapshot(self, snapshot: EmbeddingSnapshot) -> EmbeddingSnapshot:
+        """Memoize ``snapshot``, taken from parameters and a baseline equal
+        to the current ones, under the current generation."""
+        snapshot = replace(snapshot, generation=self._generation)
+        for name in ("W", "P", "VS", "VG", "baseline_w", "baseline_p"):
+            array = getattr(snapshot, name)
+            if array is not None:
+                array.flags.writeable = False
+        self._snapshot_memo = (self.baseline, snapshot)
+        return snapshot
 
     def clone(self) -> "PitotModel":
         """An independent copy: same architecture, parameters, baseline.
@@ -658,26 +698,10 @@ class PitotModel(Module):
         """Full natural-log runtime predictions, shape ``(n, H)``.
 
         For squared-loss models H=1; for quantile models one column per
-        target quantile ξ.
+        target quantile ξ. Reads the memoized :meth:`snapshot`, 4096 rows
+        per forward (see :meth:`EmbeddingSnapshot.predict_log`).
         """
-        w_idx = np.asarray(w_idx, dtype=np.intp)
-        p_idx = np.asarray(p_idx, dtype=np.intp)
-        if interferers is not None:
-            # Normalize before chunk slicing: a 1-D row means one query,
-            # and slicing it per chunk would truncate it to one column.
-            interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
-        n = len(w_idx)
-        out = np.empty((n, self.config.n_heads))
-        with no_grad():  # prediction never backpropagates
-            embeddings = self.compute_embeddings()
-            for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                sub_int = None if interferers is None else interferers[lo:hi]
-                pred = self.forward(
-                    w_idx[lo:hi], p_idx[lo:hi], sub_int, embeddings=embeddings
-                )
-                out[lo:hi] = pred.data
-        return out + self.baseline_log(w_idx, p_idx)[:, None]
+        return self.snapshot().predict_log(w_idx, p_idx, interferers, chunk=chunk)
 
     def predict_runtime(
         self,
@@ -694,15 +718,11 @@ class PitotModel(Module):
     # ------------------------------------------------------------------
     def workload_embeddings(self, head: int = 0) -> np.ndarray:
         """Trained workload embeddings ``w_i`` for one head; ``(Nw, r)``."""
-        with no_grad():
-            W, _, _, _ = self.compute_embeddings()
-        return W.data[:, head, :].copy()
+        return self.snapshot().W[:, head, :].copy()
 
     def platform_embeddings(self) -> np.ndarray:
         """Trained platform embeddings ``p_j``; ``(Np, r)``."""
-        with no_grad():
-            _, P, _, _ = self.compute_embeddings()
-        return P.data.copy()
+        return self.snapshot().P.copy()
 
     def interference_matrices(self) -> np.ndarray | None:
         """Per-platform interference matrices ``F_j = Σ_t v_s v_gᵀ``.
@@ -710,9 +730,7 @@ class PitotModel(Module):
         Shape ``(Np, r, r)``; ``None`` for interference-blind models.
         Used for the Fig 12d spectral-norm analysis.
         """
-        with no_grad():
-            _, _, VS, VG = self.compute_embeddings()
-        if VS is None:
+        snapshot = self.snapshot()
+        if snapshot.VS is None:
             return None
-        vs, vg = VS.data, VG.data  # (Np, s, r)
-        return np.einsum("jtr,jtq->jrq", vs, vg)
+        return np.einsum("jtr,jtq->jrq", snapshot.VS, snapshot.VG)

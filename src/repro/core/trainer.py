@@ -134,20 +134,24 @@ class PitotTrainer:
     # ------------------------------------------------------------------
     # Targets
     # ------------------------------------------------------------------
-    def _fit_baseline(self, train: RuntimeDataset) -> None:
-        """Fit the linear scaling baseline on isolation rows (App B.1)."""
+    def _fit_baseline(
+        self, train: RuntimeDataset, baseline: LinearScalingBaseline | None = None
+    ) -> None:
+        """Fit the linear scaling baseline on isolation rows (App B.1),
+        or attach ``baseline`` when the caller already fitted it so."""
         model = self.model
         if model.config.objective != "log_residual":
             model.baseline = None
             return
-        baseline = LinearScalingBaseline(model.n_workloads, model.n_platforms)
-        iso = train.isolation_mask()
-        baseline.fit(
-            train.w_idx[iso],
-            train.p_idx[iso],
-            train.log_runtime[iso],
-            fallback=(train.w_idx, train.p_idx, train.log_runtime),
-        )
+        if baseline is None:
+            baseline = LinearScalingBaseline(model.n_workloads, model.n_platforms)
+            iso = train.isolation_mask()
+            baseline.fit(
+                train.w_idx[iso],
+                train.p_idx[iso],
+                train.log_runtime[iso],
+                fallback=(train.w_idx, train.p_idx, train.log_runtime),
+            )
         model.baseline = baseline
 
     def _targets(self, ds: RuntimeDataset) -> np.ndarray:
@@ -307,12 +311,14 @@ class PitotTrainer:
         targets_b = train_targets[batch]
         if pool is not None:
             loss = pool.step(w_idx, p_idx, interferers, targets_b, coeff)
-            optimizer.step()
-            return loss
-        loss = self._batch_loss_backward(
-            w_idx, p_idx, interferers, targets_b, coeff, force_sparse
-        )
+        else:
+            loss = self._batch_loss_backward(
+                w_idx, p_idx, interferers, targets_b, coeff, force_sparse
+            )
         optimizer.step()
+        # The in-place update is a parameter write: bump the generation so
+        # the memoized snapshot (and any served one) reads as stale.
+        self.model.mark_updated()
         return loss
 
     def _batch_loss_backward(
@@ -504,15 +510,17 @@ class PitotTrainer:
         self,
         train: RuntimeDataset,
         validation: RuntimeDataset | None = None,
+        baseline: LinearScalingBaseline | None = None,
     ) -> TrainingResult:
-        """Run the full training procedure; returns history + best model."""
+        """Run the full training procedure; returns history + best model
+        (attaching ``baseline``, if given, instead of fitting an equal one)."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         # A fresh run may have a stable batch-shape regime even if the
         # last one didn't: give taping another chance.
         self._tape_miss_streak = 0
         self._tape_disabled = False
-        self._fit_baseline(train)
+        self._fit_baseline(train, baseline)
         train_targets = self._targets(train)
         val_targets = (
             self._targets(validation)
@@ -533,6 +541,7 @@ class PitotTrainer:
         optimizer = AdaMax(self.model.parameters(), lr=cfg.learning_rate)
         result = TrainingResult(model=self.model)
         best_state = self.model.state_dict()
+        best_snapshot = None
 
         pool = None
         if cfg.grad_workers > 0:
@@ -558,16 +567,19 @@ class PitotTrainer:
                         result.best_val_loss = val_loss
                         result.best_step = step + 1
                         best_state = self.model.state_dict()
+                        # The validation pass just snapshotted exactly
+                        # these parameters: a memo hit, not a tower pass.
+                        best_snapshot = self.model.snapshot()
         finally:
             if pool is not None:
                 pool.close()
 
         if val_targets is not None:
             self.model.load_state_dict(best_state)
-        else:
-            # In-place optimizer updates bypass load_state_dict; record
-            # the parameter change so serving snapshots read as stale.
-            self.model.mark_updated()
+            if best_snapshot is not None:
+                # Restored parameters equal the ones that snapshot saw,
+                # and the baseline is unchanged since: reuse it.
+                self.model._install_snapshot(best_snapshot)
         return result
 
     def update(
@@ -643,7 +655,6 @@ class PitotTrainer:
             )
             result.train_loss_history.append(loss)
             result.steps_run = step + 1
-        self.model.mark_updated()
         return result
 
 
@@ -653,6 +664,7 @@ def train_pitot(
     model_config: PitotConfig | None = None,
     trainer_config: TrainerConfig | None = None,
     seed: int = 0,
+    baseline: LinearScalingBaseline | None = None,
 ) -> TrainingResult:
     """Convenience constructor + trainer in one call."""
     model_config = model_config or PitotConfig()
@@ -664,4 +676,4 @@ def train_pitot(
         np.random.default_rng(seed),
     )
     trainer = PitotTrainer(model, trainer_config)
-    return trainer.fit(train, validation)
+    return trainer.fit(train, validation, baseline)

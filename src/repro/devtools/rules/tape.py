@@ -1,8 +1,9 @@
-"""RPR007 — tape discipline in serving/eval/conformal code.
+"""RPR007 — tape discipline in inference-side code.
 
 The autograd engine builds a reverse-mode tape for every ``Tensor`` op
 executed while gradients are enabled. Training wants that; serving,
-evaluation, and conformal calibration never backpropagate, so a
+evaluation, conformal calibration, the pipeline's post-training stages,
+lifecycle promotion and the scheduler never backpropagate, so a
 grad-building call on those paths is a silent performance and memory
 leak — every query grows a graph nobody will ever traverse. The PR 2
 no-grad work moved all inference to either the ndarray-only
@@ -18,8 +19,8 @@ Flagged, unless lexically inside a ``with no_grad():`` block:
 * the model's tape-building entry points ``compute_embeddings`` /
   ``compute_embeddings_sparse`` on any receiver.
 
-The ndarray snapshot forward (``EmbeddingSnapshot.forward``) and the
-model's own ``predict_*`` wrappers (which guard internally) stay legal.
+The ndarray snapshot forward (``EmbeddingSnapshot.forward``), the
+model's ``snapshot()`` and the ``predict_*`` wrappers over it stay legal.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ class TapeDisciplineRule(LintRule):
     code = "RPR007"
     name = "tape-discipline"
     description = (
-        "serving/eval/conformal code must not run grad-building Tensor "
-        "paths outside no_grad()"
+        "inference-side code must not run grad-building Tensor paths "
+        "outside no_grad()"
     )
     default_globs = (
         "*serving/*.py",
         "*eval/*.py",
         "*conformal/*.py",
+        "*pipeline/*.py",
+        "*lifecycle/*.py",
+        "*orchestration/*.py",
         # The worker-pool module ships one *sanctioned* grad-building call
         # (that is its job); keeping it in scope means any new tape entry
         # point there must be explicitly suppressed and reviewed.

@@ -30,7 +30,7 @@ import numpy as np
 from ..cluster.dataset import RuntimeDataset
 from ..cluster.stream import ObservationBuffer
 from ..conformal.predictor import ConformalRuntimePredictor
-from ..core.model import EmbeddingSnapshot, PitotModel
+from ..core.model import PitotModel
 from ..core.trainer import PitotTrainer, TrainingResult
 from ..eval.metrics import coverage
 from ..scenarios.spec import ScenarioSpec
@@ -146,7 +146,7 @@ class LifecycleManager:
         self.margin = predictor.margin
         self.buffer = ObservationBuffer(window=window, reference=features_from)
         self.service = PredictionService(
-            EmbeddingSnapshot.from_model(model),
+            model.snapshot(),
             choices=predictor.choices,
             use_pools=predictor.use_pools,
             cache_size=cache_size,
@@ -254,7 +254,7 @@ class LifecycleManager:
         Returns the new serving generation.
         """
         return self.service.swap(
-            EmbeddingSnapshot.from_model(self.model), predictor
+            self.model.snapshot(), predictor
         )
 
     def ready_to_recalibrate(self) -> bool:
@@ -317,7 +317,7 @@ def run_lifecycle(
         epsilons=spec.conformal.epsilons,
     )
     static = PredictionService(
-        EmbeddingSnapshot.from_model(model),
+        model.snapshot(),
         choices=predictor.choices,
         use_pools=predictor.use_pools,
     )

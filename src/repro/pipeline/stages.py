@@ -304,11 +304,14 @@ def scale_stage(
     return split, baseline
 
 
-def train_stage(spec: ScenarioSpec, split: DataSplit) -> TrainingResult:
+def train_stage(
+    spec: ScenarioSpec, split: DataSplit, baseline: LinearScalingBaseline
+) -> TrainingResult:
     """Fit Pitot on the split under the spec's architecture/optimizer.
 
     ``spec.trainer.seed`` already mirrors ``seeds.train`` (enforced by
-    ``ScenarioSpec.__post_init__``).
+    ``ScenarioSpec.__post_init__``). The model gets a copy of the scale
+    stage's ``baseline``, which is fit exactly as the trainer would fit it.
     """
     return train_pitot(
         split.train,
@@ -316,6 +319,9 @@ def train_stage(spec: ScenarioSpec, split: DataSplit) -> TrainingResult:
         model_config=spec.model,
         trainer_config=spec.trainer,
         seed=spec.seeds.model_init,
+        baseline=LinearScalingBaseline.from_parameters(
+            baseline.w_bar.copy(), baseline.p_bar.copy()
+        ),
     )
 
 
@@ -357,7 +363,11 @@ def evaluate_stage(
     predictor: ConformalRuntimePredictor,
     split: DataSplit,
 ) -> dict:
-    """Sec 5.1 test metrics: MAPE by interference, coverage/margin per ε."""
+    """Sec 5.1 test metrics: MAPE by interference, coverage/margin per ε.
+
+    ``predictor`` wraps ``training.model`` (the calibrate stage's output),
+    so its bounds are read off the one test-split forward.
+    """
     test = split.test
     model = training.model
     # The scenario *name* is provenance, not content — it lives in the
@@ -380,7 +390,10 @@ def evaluate_stage(
             else None
         ),
     }
-    pred = model.predict_runtime(test.w_idx, test.p_idx, test.interferers)
+    # One forward serves every metric: MAPE reads head 0, and each ε's
+    # bounds are resolved from the same log-predictions.
+    log_pred = model.predict_log(test.w_idx, test.p_idx, test.interferers)
+    pred = np.exp(log_pred[:, 0])
     iso = test.isolation_mask()
     # ``None`` (JSON null), not NaN, for empty partitions: metrics.json
     # must stay strict JSON for non-Python consumers of the store.
@@ -392,7 +405,7 @@ def evaluate_stage(
     )
     by_epsilon: dict[str, dict[str, float | None]] = {}
     for eps in spec.conformal.epsilons:
-        bound = predictor.predict_bound_dataset(test, eps)
+        bound = predictor.predict_bound_dataset(test, eps, log_pred=log_pred)
         # ``None`` too for an unbounded margin: a pool with fewer than
         # 1/ε calibration rows has an infinite bound by design.
         margin = float(overprovision_margin(bound, test.runtime))
@@ -406,7 +419,7 @@ def evaluate_stage(
 
 def snapshot_stage(model: PitotModel) -> EmbeddingSnapshot:
     """Freeze the trained towers into the serving-side snapshot."""
-    return EmbeddingSnapshot.from_model(model)
+    return model.snapshot()
 
 
 @dataclass
@@ -511,7 +524,7 @@ def simulate_stage(
     # Static: the same starting generation, never recalibrated.
     base = world_calibrated(model)
     static_service = PredictionService(
-        EmbeddingSnapshot.from_model(model),
+        model.snapshot(),
         choices=base.choices,
         use_pools=base.use_pools,
     )
@@ -864,7 +877,7 @@ def _compute_scale(spec: ScenarioSpec, out: dict) -> None:
 
 
 def _compute_train(spec: ScenarioSpec, out: dict) -> None:
-    out["training"] = train_stage(spec, out["split"])
+    out["training"] = train_stage(spec, out["split"], out["baseline"])
 
 
 def _compute_calibrate(spec: ScenarioSpec, out: dict) -> None:
@@ -1022,7 +1035,7 @@ class PipelineResult:
                 "pipeline with stop_after='recalibrate'"
             )
         return PredictionService(
-            EmbeddingSnapshot.from_model(self.lifecycle.model),
+            self.lifecycle.model.snapshot(),
             choices=self.recalibrated.choices,
             use_pools=self.recalibrated.use_pools,
             cache_size=cache_size,

@@ -327,7 +327,7 @@ class PredictionService:
     ) -> "PredictionService":
         """Snapshot a calibrated predictor's model and adopt its choices."""
         return cls(
-            EmbeddingSnapshot.from_model(predictor.model),
+            predictor.model.snapshot(),
             choices=predictor.choices,
             use_pools=predictor.use_pools,
             cache_size=cache_size,
@@ -470,7 +470,7 @@ class PredictionService:
         wholesale — after a refresh, no previously-memoized bound can be
         served.
         """
-        self.swap(EmbeddingSnapshot.from_model(predictor.model), predictor)
+        self.swap(predictor.model.snapshot(), predictor)
 
     # ------------------------------------------------------------------
     # Model protocol: predict_log
@@ -504,8 +504,8 @@ class PredictionService:
         if interferers is not None:
             interferers = np.atleast_2d(np.asarray(interferers, dtype=np.intp))
             if len(interferers) != n:
-                # The raw model raises for this shape mismatch; silently
-                # scattering would leave uninitialized output rows.
+                # EmbeddingSnapshot.predict_log raises the same error;
+                # silently scattering would leave uninitialized rows.
                 raise ValueError(
                     f"interferers has {len(interferers)} rows for {n} queries"
                 )

@@ -377,7 +377,7 @@ class ShardedPredictionService:
     ) -> "ShardedPredictionService":
         """Snapshot a calibrated predictor and shard it N ways."""
         return cls(
-            EmbeddingSnapshot.from_model(predictor.model),
+            predictor.model.snapshot(),
             choices=predictor.choices,
             use_pools=predictor.use_pools,
             n_shards=n_shards,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.devtools.rules.schema import write_spec_fingerprint
 
 
@@ -552,6 +554,24 @@ def test_rpr007_flags_tape_entry_points(lint_tree):
     )
     result = lint_tree({"eval/metrics.py": source}, select=["RPR007"])
     assert codes(result) == ["RPR007"]
+
+
+@pytest.mark.parametrize(
+    "path", ["pipeline/stages.py", "lifecycle/manager.py", "orchestration/oracle.py"]
+)
+def test_rpr007_covers_snapshot_consumers(lint_tree, path):
+    # These modules read embeddings through model.snapshot(); a direct
+    # tower pass there is a tape-building inference call.
+    source = textwrap.dedent(
+        """
+        def promote(model):
+            return model.compute_embeddings()
+        """
+    )
+    result = lint_tree({path: source}, select=["RPR007"])
+    assert codes(result) == ["RPR007"]
+    snapshot = source.replace("compute_embeddings", "snapshot")
+    assert lint_tree({path: snapshot}, select=["RPR007"]).violations == []
 
 
 def test_rpr007_passes_inside_no_grad_and_off_path(lint_tree):

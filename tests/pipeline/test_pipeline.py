@@ -281,3 +281,44 @@ class TestScenarioVariants:
         assert result.dataset.n_platforms == 64
         warm = run_pipeline(spec, store=tmp_path)
         assert warm.executed == ()
+
+
+class TestTowerPasses:
+    """The towers run once per parameter state: a cold run pays only the
+    trainer's validation passes, and calibrate/evaluate/snapshot read the
+    snapshot memo that the best validation pass left behind."""
+
+    def test_cold_run_pays_only_validation_passes(
+        self, smoke_spec, tmp_path, monkeypatch
+    ):
+        from repro.core import PitotModel
+
+        passes = []
+        real = PitotModel.compute_embeddings
+
+        def counting(self, fused=False):
+            if not fused:
+                passes.append(self)
+            return real(self, fused)
+
+        monkeypatch.setattr(PitotModel, "compute_embeddings", counting)
+        cold = run_pipeline(smoke_spec, store=tmp_path)
+        assert cold.executed == ALL_STAGES
+        assert len(passes) == len(cold.training.val_loss_history) == 2
+        passes.clear()
+        warm = run_pipeline(smoke_spec, store=tmp_path)
+        assert warm.executed == ()
+        assert passes == []
+
+    def test_evaluate_matches_one_forward_per_epsilon(self, cold):
+        from reference.inference import evaluate_predictions
+
+        from repro.pipeline import calibrate_stage, evaluate_stage
+
+        spec = cold.spec.scaled(epsilons=(0.1, 0.05, 0.01))
+        predictor = calibrate_stage(spec, cold.model, cold.split)
+        metrics = evaluate_stage(spec, cold.training, predictor, cold.split)
+        expected = evaluate_predictions(
+            cold.model, predictor, cold.split.test, spec.conformal.epsilons
+        )
+        assert {key: metrics[key] for key in expected} == expected

@@ -1,7 +1,9 @@
-"""EmbeddingSnapshot: inference-only forward equals the autograd model."""
+"""EmbeddingSnapshot: the inference forward equals the autograd oracle
+(``tests/reference/inference.py``) bit for bit."""
 
 import numpy as np
 import pytest
+from reference.inference import predict_log as reference_predict_log
 
 from repro.core import (
     EmbeddingSnapshot,
@@ -23,32 +25,41 @@ def snapshot_quantile(trained_pitot_quantile):
 
 
 class TestEquivalence:
-    ATOL = 1e-10
-
     def test_predict_log_matches_with_interference(
         self, trained_pitot, snapshot, mini_split
     ):
         test = mini_split.test
-        expected = trained_pitot.model.predict_log(
-            test.w_idx, test.p_idx, test.interferers
+        expected = reference_predict_log(
+            trained_pitot.model, test.w_idx, test.p_idx, test.interferers
         )
         actual = snapshot.predict_log(test.w_idx, test.p_idx, test.interferers)
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=self.ATOL)
+        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(
+            trained_pitot.model.predict_log(
+                test.w_idx, test.p_idx, test.interferers
+            ),
+            expected,
+        )
 
     def test_predict_log_matches_isolation(
         self, trained_pitot, snapshot, mini_split
     ):
         test = mini_split.test
-        expected = trained_pitot.model.predict_log(test.w_idx, test.p_idx, None)
+        expected = reference_predict_log(
+            trained_pitot.model, test.w_idx, test.p_idx, None
+        )
         actual = snapshot.predict_log(test.w_idx, test.p_idx, None)
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=self.ATOL)
+        np.testing.assert_array_equal(actual, expected)
 
     def test_quantile_heads_match(
         self, trained_pitot_quantile, snapshot_quantile, mini_split
     ):
         test = mini_split.test
-        expected = trained_pitot_quantile.model.predict_log(
-            test.w_idx, test.p_idx, test.interferers
+        expected = reference_predict_log(
+            trained_pitot_quantile.model,
+            test.w_idx,
+            test.p_idx,
+            test.interferers,
         )
         actual = snapshot_quantile.predict_log(
             test.w_idx, test.p_idx, test.interferers
@@ -56,15 +67,23 @@ class TestEquivalence:
         assert actual.shape[1] == len(
             trained_pitot_quantile.model.config.quantiles
         )
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=self.ATOL)
+        np.testing.assert_array_equal(actual, expected)
 
     def test_predict_runtime_matches(self, trained_pitot, snapshot, mini_split):
         test = mini_split.test
-        expected = trained_pitot.model.predict_runtime(
-            test.w_idx, test.p_idx, test.interferers
+        expected = np.exp(
+            reference_predict_log(
+                trained_pitot.model, test.w_idx, test.p_idx, test.interferers
+            )[:, 0]
         )
         actual = snapshot.predict_runtime(test.w_idx, test.p_idx, test.interferers)
-        np.testing.assert_allclose(actual, expected, rtol=1e-12)
+        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(
+            trained_pitot.model.predict_runtime(
+                test.w_idx, test.p_idx, test.interferers
+            ),
+            expected,
+        )
 
     def test_chunking_does_not_change_results(self, snapshot, mini_split):
         test = mini_split.test
@@ -84,10 +103,8 @@ class TestEquivalence:
         expected = snapshot.forward(w, p, row)
         actual = snapshot.predict_log(w, p, row) - snapshot.baseline_log(w, p)[:, None]
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
-        model_log = trained_pitot.model.predict_log(w, p, row)
-        np.testing.assert_allclose(
-            snapshot.predict_log(w, p, row), model_log, rtol=0, atol=1e-10
-        )
+        model_log = reference_predict_log(trained_pitot.model, w, p, row)
+        np.testing.assert_array_equal(snapshot.predict_log(w, p, row), model_log)
 
     def test_all_padding_interferers_equal_isolation(self, snapshot, mini_split):
         test = mini_split.test
@@ -95,6 +112,37 @@ class TestEquivalence:
         with_pad = snapshot.predict_log(test.w_idx, test.p_idx, pad)
         without = snapshot.predict_log(test.w_idx, test.p_idx, None)
         np.testing.assert_array_equal(with_pad, without)
+
+
+class TestQueryLengths:
+    """A query's three index arrays must have one row per query."""
+
+    N = 50
+
+    def _queries(self, snapshot):
+        rng = np.random.default_rng(0)
+        w = rng.integers(0, snapshot.n_workloads, self.N)
+        p = rng.integers(0, snapshot.n_platforms, self.N)
+        co = rng.integers(0, snapshot.n_workloads, (self.N, 3))
+        return w, p, co
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_interferer_rows_must_match(self, trained_pitot, snapshot, extra):
+        w, p, co = self._queries(snapshot)
+        bad = np.resize(co, (self.N + extra, 3))
+        for predict in (snapshot.predict_log, trained_pitot.model.predict_log):
+            with pytest.raises(ValueError, match=f"{self.N + extra}.*{self.N}"):
+                predict(w, p, bad)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_platform_rows_must_match(self, trained_pitot, snapshot, extra):
+        w, p, co = self._queries(snapshot)
+        bad = np.resize(p, self.N + extra)
+        for predict in (snapshot.predict_log, trained_pitot.model.predict_log):
+            with pytest.raises(ValueError, match=f"{self.N + extra}.*{self.N}"):
+                predict(w, bad, co)
+            with pytest.raises(ValueError, match=f"{self.N + extra}.*{self.N}"):
+                predict(w, bad, None)
 
 
 class TestStaleness:
